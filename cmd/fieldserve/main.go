@@ -195,7 +195,7 @@ func main() {
 		ApproxMaxErr:    *approxErr,
 		DegradeToApprox: *degrade,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := srv.HTTPServer(*addr)
 
 	done := make(chan error, 1)
 	go func() {

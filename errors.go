@@ -54,3 +54,9 @@ var (
 // pre-sidecar (version-1) file. Re-exported from internal/core so errors.Is
 // works across the facade boundary.
 var ErrUpdatesUnsupported = core.ErrUpdatesUnsupported
+
+// ErrOutsideField reports a point query at a location no cell contains:
+// outside the field's bounds, or in a coverage gap of a TIN whose triangles
+// do not fill its bounding box. Re-exported from internal/core so errors.Is
+// works across the facade boundary; the serving tier maps it to HTTP 404.
+var ErrOutsideField = core.ErrOutsideField

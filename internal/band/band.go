@@ -59,7 +59,24 @@ func TriangleValue(p0, p1, p2 geom.Point, w0, w1, w2 float64, p geom.Point) (flo
 // A degenerate triangle whose (constant) value lies in the band is returned
 // whole.
 func TriangleBand(p0, p1, p2 geom.Point, w0, w1, w2 float64, lo, hi float64) geom.Polygon {
-	tri := geom.Polygon{p0, p1, p2}
+	var s Scratch
+	if pg := TriangleBandInto(&s, p0, p1, p2, w0, w1, w2, lo, hi); pg != nil {
+		return pg.Clone()
+	}
+	return nil
+}
+
+// Scratch is caller-owned clipping storage for TriangleBandInto: the
+// oriented triangle and the output of each of the two half-plane clips. A
+// triangle clipped by two half-planes keeps at most 5 vertices, so a
+// Scratch on the stack makes band extraction allocation-free.
+type Scratch [3][5]geom.Point
+
+// TriangleBandInto is TriangleBand computed in s: the same vertices in the
+// same order, but the returned polygon aliases s and is valid only until s
+// is reused. Callers that keep it must copy it.
+func TriangleBandInto(s *Scratch, p0, p1, p2 geom.Point, w0, w1, w2 float64, lo, hi float64) geom.Polygon {
+	tri := append(geom.Polygon(s[0][:0]), p0, p1, p2)
 	grad, b, ok := TriangleGradient(p0, p1, p2, w0, w1, w2)
 	if !ok {
 		// Degenerate: treat as constant at the average value.
@@ -69,7 +86,17 @@ func TriangleBand(p0, p1, p2 geom.Point, w0, w1, w2 float64, lo, hi float64) geo
 		}
 		return nil
 	}
-	return geom.ClipConvexBand(geom.EnsureCCW(tri), grad, b, lo, hi)
+	if tri.SignedArea() < 0 {
+		// geom.EnsureCCW's reversal, in place.
+		tri[0], tri[2] = tri[2], tri[0]
+	}
+	// value(p) <= hi   <=>   G·p <= hi - b
+	pg := geom.ClipConvexInto(s[1][:0], tri, geom.HalfPlane{N: grad, C: hi - b})
+	if pg == nil {
+		return nil
+	}
+	// value(p) >= lo   <=>   -G·p <= b - lo
+	return geom.ClipConvexInto(s[2][:0], pg, geom.HalfPlane{N: geom.Point{X: -grad.X, Y: -grad.Y}, C: b - lo})
 }
 
 // QuadBand returns the answer region of an axis-aligned quad cell with
@@ -78,18 +105,31 @@ func TriangleBand(p0, p1, p2 geom.Point, w0, w1, w2 float64, lo, hi float64) geo
 // v0–v2 diagonal into two linear triangles. Zero, one or two convex
 // polygons are returned.
 func QuadBand(r geom.Rect, v0, v1, v2, v3 float64, lo, hi float64) []geom.Polygon {
+	var s [2]Scratch
+	pgs, n := QuadBandInto(&s, r, v0, v1, v2, v3, lo, hi)
+	var out []geom.Polygon
+	for _, pg := range pgs[:n] {
+		out = append(out, pg.Clone())
+	}
+	return out
+}
+
+// QuadBandInto is QuadBand computed in s, one Scratch per triangle: the n
+// polygons in pgs alias s and are valid only until s is reused.
+func QuadBandInto(s *[2]Scratch, r geom.Rect, v0, v1, v2, v3 float64, lo, hi float64) (pgs [2]geom.Polygon, n int) {
 	p0 := r.Min
 	p1 := geom.Pt(r.Max.X, r.Min.Y)
 	p2 := r.Max
 	p3 := geom.Pt(r.Min.X, r.Max.Y)
-	var out []geom.Polygon
-	if pg := TriangleBand(p0, p1, p2, v0, v1, v2, lo, hi); pg != nil {
-		out = append(out, pg)
+	if pg := TriangleBandInto(&s[0], p0, p1, p2, v0, v1, v2, lo, hi); pg != nil {
+		pgs[n] = pg
+		n++
 	}
-	if pg := TriangleBand(p0, p2, p3, v0, v2, v3, lo, hi); pg != nil {
-		out = append(out, pg)
+	if pg := TriangleBandInto(&s[1], p0, p2, p3, v0, v2, v3, lo, hi); pg != nil {
+		pgs[n] = pg
+		n++
 	}
-	return out
+	return pgs, n
 }
 
 // QuadValue returns the piecewise-linear interpolated value at p inside the
@@ -106,47 +146,45 @@ func QuadValue(r geom.Rect, v0, v1, v2, v3 float64, p geom.Point) (float64, bool
 }
 
 // Isoline returns the segment where the interpolated value equals w inside
-// the triangle: the degenerate band [w, w]. It returns the segment endpoints
-// (0 or 2 points) on the triangle boundary.
+// the triangle: the degenerate band [w, w]. ok reports whether the level
+// crosses the triangle; seg holds the two endpoints on its boundary.
 //
 // When the level passes exactly through a vertex, two edges report that same
 // vertex; duplicates are removed before deciding whether a genuine crossing
 // exists, so a contour entering through a vertex and leaving through the
 // opposite edge is not lost.
-func Isoline(p0, p1, p2 geom.Point, w0, w1, w2 float64, w float64) []geom.Point {
-	var pts []geom.Point
+func Isoline(p0, p1, p2 geom.Point, w0, w1, w2 float64, w float64) (seg [2]geom.Point, ok bool) {
 	// Deduplication tolerance relative to the triangle size.
 	size := p0.Dist(p1) + p1.Dist(p2) + p2.Dist(p0)
 	tol := size * 1e-12
-	add := func(p geom.Point) {
-		for _, q := range pts {
+	edges := [3]struct {
+		a, b   geom.Point
+		wa, wb float64
+	}{{p0, p1, w0, w1}, {p1, p2, w1, w2}, {p2, p0, w2, w0}}
+	n := 0
+	for _, e := range edges {
+		if (e.wa < w && e.wb < w) || (e.wa > w && e.wb > w) {
+			continue
+		}
+		if e.wa == e.wb {
+			continue // edge lies on the level; endpoints handled by other edges
+		}
+		t := (w - e.wa) / (e.wb - e.wa)
+		if t < 0 || t > 1 {
+			continue
+		}
+		p := e.a.Add(e.b.Sub(e.a).Scale(t))
+		dup := false
+		for _, q := range seg[:n] {
 			if p.Dist(q) <= tol {
-				return
+				dup = true
+				break
 			}
 		}
-		pts = append(pts, p)
-	}
-	edge := func(a, b geom.Point, wa, wb float64) {
-		if (wa < w && wb < w) || (wa > w && wb > w) {
-			return
+		if !dup && n < 2 {
+			seg[n] = p
+			n++
 		}
-		if wa == wb {
-			return // edge lies on the level; endpoints handled by other edges
-		}
-		t := (w - wa) / (wb - wa)
-		if t < 0 || t > 1 {
-			return
-		}
-		add(a.Add(b.Sub(a).Scale(t)))
 	}
-	edge(p0, p1, w0, w1)
-	edge(p1, p2, w1, w2)
-	edge(p2, p0, w2, w0)
-	if len(pts) > 2 {
-		pts = pts[:2]
-	}
-	if len(pts) == 1 {
-		pts = nil
-	}
-	return pts
+	return seg, n == 2
 }

@@ -141,18 +141,18 @@ func TestQuadValue(t *testing.T) {
 func TestIsoline(t *testing.T) {
 	p0, p1, p2 := geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1)
 	// w = x: isoline x = 0.5 crosses edges (p0,p1) and (p1,p2).
-	pts := Isoline(p0, p1, p2, 0, 1, 0, 0.5)
-	if len(pts) != 2 {
-		t.Fatalf("isoline points = %v", pts)
+	seg, ok := Isoline(p0, p1, p2, 0, 1, 0, 0.5)
+	if !ok {
+		t.Fatalf("no isoline, segment = %v", seg)
 	}
-	for _, p := range pts {
+	for _, p := range seg {
 		if !almostEq(p.X, 0.5) {
 			t.Fatalf("isoline point %v not on x=0.5", p)
 		}
 	}
 	// Level outside the range: no line.
-	if pts := Isoline(p0, p1, p2, 0, 1, 0, 2); len(pts) != 0 {
-		t.Fatalf("phantom isoline %v", pts)
+	if seg, ok := Isoline(p0, p1, p2, 0, 1, 0, 2); ok {
+		t.Fatalf("phantom isoline %v", seg)
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 
+	"fielddb/internal/band"
 	"fielddb/internal/field"
 	"fielddb/internal/geom"
 	"fielddb/internal/storage"
@@ -138,15 +139,19 @@ func estimateRecord(res *Result, rec []byte, scratch *field.Cell, q geom.Interva
 }
 
 // estimateMatched computes the exact answer geometry of one cell whose
-// interval already matched the query.
+// interval already matched the query. Each triangle is clipped in stack
+// scratch and only kept polygons are copied out, into the region slab, so
+// refinement allocates nothing per cell.
 func estimateMatched(res *Result, c *field.Cell, q geom.Interval) {
 	res.CellsMatched++
 	res.MatchedCellArea += c.Area()
 	if q.Length() == 0 {
-		res.Isolines = append(res.Isolines, field.Isolines(c, q.Lo)...)
+		res.Isolines = field.AppendIsolines(res.Isolines, c, q.Lo)
 		return
 	}
-	for _, pg := range field.Band(c, q.Lo, q.Hi) {
+	var s [2]band.Scratch
+	pgs, n := field.BandInto(&s, c, q.Lo, q.Hi)
+	for _, pg := range pgs[:n] {
 		// Boundary cells can contribute degenerate slivers (the band
 		// touches the cell only along an edge); they carry no area and
 		// break downstream convex clipping, so drop them.
@@ -154,9 +159,45 @@ func estimateMatched(res *Result, c *field.Cell, q geom.Interval) {
 		if a <= 1e-12 {
 			continue
 		}
-		res.Regions = append(res.Regions, pg)
+		res.Regions = appendRegion(res.Regions, pg)
 		res.Area += a
 	}
+}
+
+// Region slab chunk bounds, in points. A chunk is sized to the points kept
+// so far (about four per region), so chunks grow geometrically from the
+// minimum — a query with a handful of regions pays for a small chunk, a
+// large one for few allocations.
+const (
+	minSlabChunk = 64
+	maxSlabChunk = 4096
+)
+
+// appendRegion appends a copy of pg to regions. The copies live in chunked
+// point slabs: every region is a full-slice-expression sub-slice s[a:b:b] of
+// its chunk, except the newest, whose spare capacity is the chunk's free
+// tail — the next region is carved from it, and the newest is capped to its
+// length at that moment. Appending to any region therefore reallocates it
+// or, for the newest, writes into the free tail no other region uses; a
+// region never overwrites its neighbour. Keeping the free tail in the last
+// region rather than in a handle on Result leaves Result's shape, and so
+// the equality of solo, batched and parallel answers, untouched.
+func appendRegion(regions []geom.Polygon, pg geom.Polygon) []geom.Polygon {
+	var free geom.Polygon
+	if regions == nil {
+		// Size the header slice to the first chunk's ~16 regions rather
+		// than growing it 1, 2, 4, 8: parallel refinement starts one
+		// Result per cell run.
+		regions = make([]geom.Polygon, 0, minSlabChunk/4)
+	} else if n := len(regions); n > 0 {
+		last := regions[n-1]
+		free = last[len(last):cap(last)]
+		regions[n-1] = last[:len(last):len(last)]
+	}
+	if len(free) < len(pg) {
+		free = make(geom.Polygon, max(min(4*len(regions), maxSlabChunk), minSlabChunk, len(pg)))
+	}
+	return append(regions, append(free[:0], pg...))
 }
 
 // writeCellsStride is how many cells construction writes between

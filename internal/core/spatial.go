@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -12,6 +13,11 @@ import (
 	"fielddb/internal/sfc"
 	"fielddb/internal/storage"
 )
+
+// ErrOutsideField is returned by a point query at a location no cell of the
+// field contains: outside its bounds, or in a coverage gap of a TIN whose
+// triangles do not fill its bounding box.
+var ErrOutsideField = errors.New("core: point outside the field")
 
 // SpatialIndex supports the conventional queries of §2.2.1 (type Q1): a
 // 2-D R*-tree over cell extents locates the cell containing a query point,
@@ -159,7 +165,7 @@ func (s *SpatialIndex) pointQuery(ctx context.Context, tb *obs.TraceBuilder, qc 
 	qc.EndSpan()
 	st := qc.Stats()
 	s.recordIO(filterIO, 0, st)
-	return 0, st, fmt.Errorf("core: point %v outside the field", pt)
+	return 0, st, fmt.Errorf("%w: %v", ErrOutsideField, pt)
 }
 
 // Close releases the spatial index's underlying store.

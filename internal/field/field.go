@@ -171,40 +171,50 @@ func Band(c *Cell, lo, hi float64) []geom.Polygon {
 	}
 }
 
-// Isolines returns the segments inside the cell where the interpolated value
-// equals w — the answer geometry of an exact value query (Qinterval = 0),
-// whose answer region has measure zero.
-func Isolines(c *Cell, w float64) [][2]geom.Point {
-	segFrom := func(pts []geom.Point) ([2]geom.Point, bool) {
-		if len(pts) != 2 {
-			return [2]geom.Point{}, false
-		}
-		return [2]geom.Point{pts[0], pts[1]}, true
-	}
+// BandInto is Band computed in caller scratch, one band.Scratch per
+// triangle: the same polygons in the same order, returned as the first n
+// entries of pgs, each aliasing s and valid only until s is reused. With s
+// on the caller's stack no allocation takes place.
+func BandInto(s *[2]band.Scratch, c *Cell, lo, hi float64) (pgs [2]geom.Polygon, n int) {
 	switch len(c.Vertices) {
 	case 3:
-		if s, ok := segFrom(band.Isoline(c.Vertices[0], c.Vertices[1], c.Vertices[2],
-			c.Values[0], c.Values[1], c.Values[2], w)); ok {
-			return [][2]geom.Point{s}
+		if pg := band.TriangleBandInto(&s[0], c.Vertices[0], c.Vertices[1], c.Vertices[2],
+			c.Values[0], c.Values[1], c.Values[2], lo, hi); pg != nil {
+			pgs[0], n = pg, 1
 		}
-		return nil
+		return pgs, n
+	case 4:
+		return band.QuadBandInto(s, c.Bounds(), c.Values[0], c.Values[1], c.Values[2], c.Values[3], lo, hi)
+	default:
+		return pgs, 0
+	}
+}
+
+// AppendIsolines appends to dst the segments inside the cell where the
+// interpolated value equals w — the answer geometry of an exact value query
+// (Qinterval = 0), whose answer region has measure zero — and returns the
+// extended slice, allocating only when dst must grow.
+func AppendIsolines(dst [][2]geom.Point, c *Cell, w float64) [][2]geom.Point {
+	switch len(c.Vertices) {
+	case 3:
+		if s, ok := band.Isoline(c.Vertices[0], c.Vertices[1], c.Vertices[2],
+			c.Values[0], c.Values[1], c.Values[2], w); ok {
+			dst = append(dst, s)
+		}
 	case 4:
 		r := c.Bounds()
 		p0 := r.Min
 		p1 := geom.Pt(r.Max.X, r.Min.Y)
 		p2 := r.Max
 		p3 := geom.Pt(r.Min.X, r.Max.Y)
-		var out [][2]geom.Point
-		if s, ok := segFrom(band.Isoline(p0, p1, p2, c.Values[0], c.Values[1], c.Values[2], w)); ok {
-			out = append(out, s)
+		if s, ok := band.Isoline(p0, p1, p2, c.Values[0], c.Values[1], c.Values[2], w); ok {
+			dst = append(dst, s)
 		}
-		if s, ok := segFrom(band.Isoline(p0, p2, p3, c.Values[0], c.Values[2], c.Values[3], w)); ok {
-			out = append(out, s)
+		if s, ok := band.Isoline(p0, p2, p3, c.Values[0], c.Values[2], c.Values[3], w); ok {
+			dst = append(dst, s)
 		}
-		return out
-	default:
-		return nil
 	}
+	return dst
 }
 
 // ValueRangeOf computes the value range of any Field by scanning its cells;

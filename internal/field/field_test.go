@@ -203,7 +203,7 @@ func TestCodecQuickProperty(t *testing.T) {
 func TestIsolines(t *testing.T) {
 	// Triangle with w = x: level 0.5 cuts a vertical segment.
 	tri := triCell(0, geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1), 0, 1, 0)
-	segs := Isolines(tri, 0.5)
+	segs := AppendIsolines(nil, tri, 0.5)
 	if len(segs) != 1 {
 		t.Fatalf("tri isolines = %v", segs)
 	}
@@ -214,7 +214,7 @@ func TestIsolines(t *testing.T) {
 	}
 	// Quad with w = x: the level cuts both half-triangles.
 	quad := quadCell(1, geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}, 0, 1, 1, 0)
-	segs = Isolines(quad, 0.5)
+	segs = AppendIsolines(nil, quad, 0.5)
 	total := 0.0
 	for _, s := range segs {
 		total += s[0].Dist(s[1])
@@ -223,12 +223,12 @@ func TestIsolines(t *testing.T) {
 		t.Fatalf("quad isoline length = %g, want 1", total)
 	}
 	// Out-of-range level: nothing.
-	if segs := Isolines(quad, 5); len(segs) != 0 {
+	if segs := AppendIsolines(nil, quad, 5); len(segs) != 0 {
 		t.Fatalf("phantom isolines %v", segs)
 	}
 	// Unsupported cell shape.
 	bad := &Cell{Vertices: []geom.Point{{}, {}}, Values: []float64{0, 0}}
-	if Isolines(bad, 0) != nil {
+	if AppendIsolines(nil, bad, 0) != nil {
 		t.Fatal("2-vertex isolines")
 	}
 }

@@ -285,7 +285,16 @@ func ClipConvex(pg Polygon, h HalfPlane) Polygon {
 	if len(pg) == 0 {
 		return nil
 	}
-	out := make(Polygon, 0, len(pg)+2)
+	return ClipConvexInto(make(Polygon, 0, len(pg)+2), pg, h)
+}
+
+// ClipConvexInto is ClipConvex writing its vertices into dst's storage: the
+// result is dst[:n] when dst has the capacity (a clipped triangle has at
+// most 5 vertices after two half-planes), so clipping into a fixed array
+// allocates nothing. dst must not overlap pg. Fewer than 3 vertices yields
+// nil.
+func ClipConvexInto(dst, pg Polygon, h HalfPlane) Polygon {
+	out := dst[:0]
 	for i := range pg {
 		cur := pg[i]
 		nxt := pg[(i+1)%len(pg)]

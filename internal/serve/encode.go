@@ -492,16 +492,20 @@ func (c *codec) writeErrorEnvelope(w http.ResponseWriter, status int, msg string
 	c.buf = b[:0]
 }
 
-// readBody drains r into the pooled body scratch, bounded by maxBytes.
+// readBody drains r into the pooled body scratch. A body longer than
+// maxBytes is refused with errBodyTooLarge rather than silently truncated.
 func (c *codec) readBody(r io.Reader, maxBytes int64) ([]byte, error) {
 	c.body = c.body[:0]
-	lr := io.LimitReader(r, maxBytes)
+	lr := io.LimitReader(r, maxBytes+1)
 	for {
 		if len(c.body) == cap(c.body) {
 			c.body = append(c.body, 0)[:len(c.body)]
 		}
 		n, err := lr.Read(c.body[len(c.body):cap(c.body)])
 		c.body = c.body[:len(c.body)+n]
+		if int64(len(c.body)) > maxBytes {
+			return nil, errBodyTooLarge
+		}
 		if err == io.EOF {
 			return c.body, nil
 		}

@@ -357,7 +357,7 @@ func startLocalServer(s *Server) (string, func(), error) {
 	if err != nil {
 		return "", nil, err
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := s.HTTPServer("")
 	go func() { _ = hs.Serve(ln) }()
 	stop := func() {
 		s.Drain()

@@ -194,6 +194,28 @@ func New(fields map[string]*Field, cfg Config) *Server {
 // Handler returns the server's routing handler, ready for http.Server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// Connection timeouts of the http.Server HTTPServer builds. A client gets
+// readHeaderTimeout to send its request headers, so a slow-header client
+// cannot hold a connection open forever, and an idle keep-alive connection
+// is closed after idleTimeout. There is deliberately no whole-request or
+// write timeout: a large geometry response streams for as long as it takes,
+// bounded by the request's own deadline (timeout_ms or the server default).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// HTTPServer returns an http.Server serving Handler on addr with the
+// connection timeouts above.
+func (s *Server) HTTPServer(addr string) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // Drain puts the server in drain mode: every subsequent request is refused
 // with 503 + Retry-After, and Drain blocks until the requests admitted before
 // the switch have finished writing their responses. Pair it with
@@ -439,6 +461,8 @@ func mapError(err error) int {
 		errors.Is(err, fielddb.ErrBadTolerance),
 		errors.Is(err, fielddb.ErrBadConjunction):
 		return http.StatusBadRequest
+	case errors.Is(err, fielddb.ErrOutsideField):
+		return http.StatusNotFound
 	case errors.Is(err, fielddb.ErrNoSpatialIndex),
 		errors.Is(err, fielddb.ErrNoPartition),
 		errors.Is(err, fielddb.ErrUpdatesUnsupported):
@@ -812,8 +836,20 @@ type batchView struct {
 	PagesSaved      int   `json:"pages_saved"`
 }
 
-// maxBatchBody bounds the /batch and /update request bodies.
+// maxBatchBody bounds the /batch, /update and /v1/and request bodies.
 const maxBatchBody = 8 << 20
+
+// errBodyTooLarge reports a request body over its endpoint's bound.
+var errBodyTooLarge = errors.New("request body too large")
+
+// bodyStatus is the HTTP status of a request body that failed to read or
+// decode: 413 past the size bound, 400 otherwise.
+func bodyStatus(err error) int {
+	if errors.Is(err, errBodyTooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
 
 func (s *Server) handleBatch(c *codec, w http.ResponseWriter, r *http.Request, bin bool) {
 	f, name, ok := s.field(c, w, r, bin)
@@ -822,7 +858,7 @@ func (s *Server) handleBatch(c *codec, w http.ResponseWriter, r *http.Request, b
 	}
 	body, err := c.readBody(r.Body, maxBatchBody)
 	if err != nil {
-		writeFail(c, w, bin, http.StatusBadRequest, "malformed batch body: "+err.Error())
+		writeFail(c, w, bin, bodyStatus(err), "malformed batch body: "+err.Error())
 		return
 	}
 	// Decode into the pooled pair slice: Unmarshal reuses its capacity, so a
@@ -887,7 +923,7 @@ func (s *Server) handleUpdate(c *codec, w http.ResponseWriter, r *http.Request, 
 	}
 	body, err := c.readBody(r.Body, maxBatchBody)
 	if err != nil {
-		writeFail(c, w, bin, http.StatusBadRequest, "malformed update body: "+err.Error())
+		writeFail(c, w, bin, bodyStatus(err), "malformed update body: "+err.Error())
 		return
 	}
 	var req updateRequest
@@ -928,8 +964,13 @@ type andRequest struct {
 }
 
 func (s *Server) handleAnd(c *codec, w http.ResponseWriter, r *http.Request, bin bool) {
+	body, err := c.readBody(r.Body, maxBatchBody)
+	if err != nil {
+		writeFail(c, w, bin, bodyStatus(err), "malformed and body: "+err.Error())
+		return
+	}
 	var req andRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeFail(c, w, bin, http.StatusBadRequest, "malformed and body: "+err.Error())

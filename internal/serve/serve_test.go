@@ -358,6 +358,7 @@ func TestServeErrors(t *testing.T) {
 		{"empty update", "POST", "/v1/fields/terrain/update", `{"updates":[]}`, 400},
 		{"update read-only", "POST", "/v1/fields/frozen/update", `{"updates":[{"sample":0,"value":1}]}`, 501},
 		{"point on stored index", "GET", "/v1/fields/frozen/point?x=1&y=1", "", 501},
+		{"point outside field", "GET", "/v1/fields/terrain/point?x=-1000&y=-1000", "", 404},
 		{"malformed and", "POST", "/v1/and", `[]`, 400},
 		{"and unknown field", "POST", "/v1/and", `{"conditions":[{"field":"nope","lo":1,"hi":2}]}`, 404},
 		{"and no conditions", "POST", "/v1/and", `{"conditions":[]}`, 400},

@@ -284,6 +284,11 @@ func TestQuerierConformanceValidation(t *testing.T) {
 				if _, err := s.q.PointQueryContext(ctx, Point{X: math.NaN(), Y: 1}); !errors.Is(err, ErrNonFiniteBound) {
 					t.Fatalf("NaN point: %v", err)
 				}
+				// A finite point no cell contains is a typed miss, not an
+				// internal failure.
+				if _, err := s.q.PointQueryContext(ctx, Point{X: -1e6, Y: -1e6}); !errors.Is(err, ErrOutsideField) {
+					t.Fatalf("outside point: %v", err)
+				}
 			}
 			// Aggregates share the interval validation and add tolerance
 			// validation: NaN and negative tolerances are ErrBadTolerance on
